@@ -236,7 +236,7 @@ pub fn abort_safety(program: &Program, cfg: &Cfg, lockset: &LocksetAnalysis) -> 
                              republishing the descriptor at data {}: a second preemption \
                              here would not be detected",
                             d.start_ip,
-                            d.post_commit_ip(),
+                            window_end(d),
                             d.cs_addr
                         ),
                     ));
@@ -318,6 +318,12 @@ pub fn abort_safety(program: &Program, cfg: &Cfg, lockset: &LocksetAnalysis) -> 
     diags
 }
 
+/// The window's end for messages, exact even where it lies past the
+/// code address space.
+fn window_end(d: &RseqCs) -> u64 {
+    u64::from(d.start_ip) + u64::from(d.post_commit_offset)
+}
+
 /// The syntactic per-descriptor checks: bounds, commit shape, window
 /// purity, and abort placement/reachability.
 fn window_diags(program: &Program, len: CodeAddr, d: &RseqCs, diags: &mut Vec<Diagnostic>) {
@@ -333,7 +339,10 @@ fn window_diags(program: &Program, len: CodeAddr, d: &RseqCs, diags: &mut Vec<Di
         ));
         return;
     }
-    if d.start_ip >= len || d.post_commit_ip() > len {
+    let Some(end) = d
+        .post_commit_ip()
+        .filter(|&end| d.start_ip < len && end <= len)
+    else {
         diags.push(Diagnostic::new(
             DiagKind::RseqWindowOutOfBounds,
             d.start_ip.min(len.saturating_sub(1)),
@@ -341,11 +350,11 @@ fn window_diags(program: &Program, len: CodeAddr, d: &RseqCs, diags: &mut Vec<Di
                 "rseq window [@{}..@{}) extends past the end of the code image \
                  (length {len})",
                 d.start_ip,
-                d.post_commit_ip()
+                window_end(d)
             ),
         ));
         return;
-    }
+    };
     if d.abort_ip >= len {
         diags.push(Diagnostic::new(
             DiagKind::RseqWindowOutOfBounds,
@@ -362,14 +371,12 @@ fn window_diags(program: &Program, len: CodeAddr, d: &RseqCs, diags: &mut Vec<Di
             format!(
                 "abort_ip @{} lies inside its own window [@{}..@{}): the abort \
                  dispatch would land back in the aborted region",
-                d.abort_ip,
-                d.start_ip,
-                d.post_commit_ip()
+                d.abort_ip, d.start_ip, end
             ),
         ));
     }
 
-    let commit_pc = d.post_commit_ip() - 1;
+    let commit_pc = end - 1;
     match program.fetch(commit_pc) {
         Some(Inst::Sw { .. }) => {}
         Some(inst) => diags.push(Diagnostic::new(
@@ -413,7 +420,7 @@ fn window_diags(program: &Program, len: CodeAddr, d: &RseqCs, diags: &mut Vec<Di
                     ),
                 ));
             }
-            Inst::Branch { target, .. } | Inst::J { target } if target < d.post_commit_ip() => {
+            Inst::Branch { target, .. } | Inst::J { target } if target < end => {
                 diags.push(Diagnostic::new(
                     DiagKind::RseqBranchInWindow,
                     pc,
@@ -421,8 +428,7 @@ fn window_diags(program: &Program, len: CodeAddr, d: &RseqCs, diags: &mut Vec<Di
                         "branch to @{target} stays inside (or jumps backward \
                          into) the window [@{}..@{}): every early exit must \
                          jump forward past the commit point",
-                        d.start_ip,
-                        d.post_commit_ip()
+                        d.start_ip, end
                     ),
                 ));
             }

@@ -198,15 +198,13 @@ mod tests {
             Opcode::Sw,
             "publish store"
         );
-        let ops: Vec<Opcode> = (t.desc.start_ip..t.desc.post_commit_ip())
+        let end = t.desc.post_commit_ip().unwrap();
+        let ops: Vec<Opcode> = (t.desc.start_ip..end)
             .map(|pc| p.fetch(pc).unwrap().opcode())
             .collect();
         assert_eq!(ops, vec![Opcode::Lw, Opcode::Li, Opcode::Sw]);
         // The clear and return sit between commit and abort handler.
-        assert_eq!(
-            p.fetch(t.desc.post_commit_ip()).unwrap().opcode(),
-            Opcode::Sw
-        );
+        assert_eq!(p.fetch(end).unwrap().opcode(), Opcode::Sw);
         assert_eq!(
             p.fetch(t.desc.abort_ip - 1).unwrap().opcode(),
             Opcode::Jr,

@@ -58,15 +58,19 @@ impl RseqCs {
     }
 
     /// First PC past the window: a thread suspended here has committed.
-    pub fn post_commit_ip(self) -> CodeAddr {
-        self.start_ip + self.post_commit_offset
+    /// `None` if the window's end lies past the code address space — the
+    /// descriptor words are guest data, so any values can turn up here.
+    pub fn post_commit_ip(self) -> Option<CodeAddr> {
+        self.start_ip.checked_add(self.post_commit_offset)
     }
 
     /// Whether a preemption at `pc` aborts this descriptor's section.
     /// Half-open: the first instruction aborts (the abort handler simply
-    /// retries), the post-commit PC commits.
+    /// retries), the post-commit PC commits. A window whose end overflows
+    /// contains no pc.
     pub fn contains(self, pc: CodeAddr) -> bool {
-        pc >= self.start_ip && pc < self.post_commit_ip()
+        self.post_commit_ip()
+            .is_some_and(|end| pc >= self.start_ip && pc < end)
     }
 
     /// The four words the guest stores at [`RseqCs::cs_addr`], in memory
@@ -99,11 +103,30 @@ mod tests {
     fn window_is_half_open() {
         let d = desc();
         assert_eq!(d.window(), SeqRange { start: 10, len: 3 });
-        assert_eq!(d.post_commit_ip(), 13);
+        assert_eq!(d.post_commit_ip(), Some(13));
         assert!(d.contains(10), "first instruction aborts");
         assert!(d.contains(12), "the committing store aborts");
         assert!(!d.contains(13), "post-commit PC has committed");
         assert!(!d.contains(9));
+    }
+
+    #[test]
+    fn window_ending_past_the_address_space_contains_nothing() {
+        let d = RseqCs {
+            start_ip: u32::MAX - 1,
+            post_commit_offset: 4,
+            ..desc()
+        };
+        assert_eq!(d.post_commit_ip(), None);
+        assert!(!d.contains(u32::MAX - 1));
+        assert!(!d.contains(u32::MAX));
+        let last = RseqCs {
+            start_ip: u32::MAX - 1,
+            post_commit_offset: 1,
+            ..desc()
+        };
+        assert_eq!(last.post_commit_ip(), Some(u32::MAX));
+        assert!(last.contains(u32::MAX - 1));
     }
 
     #[test]

@@ -358,7 +358,7 @@ impl Kernel {
                 }
                 for d in program.rseq_descs() {
                     extra.push(d.start_ip);
-                    extra.push(d.post_commit_ip());
+                    extra.extend(d.post_commit_ip());
                     extra.push(d.abort_ip);
                 }
                 Some(TranslationCache::new(&decoded, &config.profile, &extra))
@@ -811,7 +811,14 @@ impl Kernel {
         if cs_addr == 0 {
             return;
         }
-        let word = |k: u32| self.machine.mem().load_kernel(cs_addr + 4 * k).unwrap_or(0);
+        // A descriptor word past the address space reads like any other
+        // failed load.
+        let word = |k: u32| {
+            cs_addr
+                .checked_add(4 * k)
+                .and_then(|addr| self.machine.mem().load_kernel(addr).ok())
+                .unwrap_or(0)
+        };
         let desc = RseqCs {
             start_ip: word(0),
             post_commit_offset: word(1),

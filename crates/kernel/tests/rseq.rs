@@ -235,6 +235,52 @@ fn registration_is_refused_without_the_rseq_strategy() {
     assert_eq!(k.thread_rseq_area(ThreadId(0)), None);
 }
 
+#[test]
+fn descriptors_past_the_address_space_read_as_no_section() {
+    // The descriptor pointer and words are guest data, so they can hold
+    // anything. A `cs_addr` whose later words lie past the 32-bit address
+    // space, and a window whose end overflows, must both read as "no
+    // section" — the same in debug builds (no overflow panic) as in
+    // release builds (no wrapped address).
+    let mut data = DataLayout::new();
+    let area = data.word("area", 0);
+    let cs = data.array("cs", 4, 0);
+    let mut asm = Asm::new();
+    asm.set_entry_here();
+    asm.li(Reg::V0, abi::SYS_RSEQ as i32);
+    asm.li(Reg::A0, area as i32);
+    asm.li(Reg::A1, 0);
+    asm.syscall();
+    asm.li(Reg::T0, area as i32);
+    asm.li(Reg::V0, 0xFFFF_FFFC_u32 as i32);
+    asm.sw(Reg::V0, Reg::T0, 0);
+    let first = asm.here();
+    asm.li(Reg::V0, cs as i32);
+    asm.sw(Reg::V0, Reg::T0, 0);
+    let second = asm.here();
+    exit(&mut asm);
+    data.set_word(cs, u32::MAX - 2);
+    data.set_word(cs + 4, 8);
+    data.set_word(cs + 8, 0);
+    data.set_word(cs + 12, 0);
+    let mut k = Kernel::boot(
+        cfg(StrategyKind::Rseq),
+        asm.finish().unwrap(),
+        &data.finish(),
+    )
+    .unwrap();
+    for (checks, pc) in [(1, first), (2, second)] {
+        step_to(&mut k, pc);
+        assert_ne!(k.read_word(area).unwrap(), 0, "descriptor published");
+        assert!(k.preempt_current());
+        assert_eq!(k.stats().rseq_checks, checks);
+        assert_eq!(k.stats().rseq_aborts, 0);
+        assert_eq!(k.thread_regs(ThreadId(0)).pc(), pc, "no redirect");
+        assert_eq!(k.read_word(area).unwrap(), 0, "stale pointer cleared");
+    }
+    assert_eq!(k.run(1_000_000), Outcome::Completed);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 

@@ -55,7 +55,7 @@
 use ras_diag::{DiagKind, Diagnostic};
 use ras_guest::workloads::{model_counter, ModelSpec, TasFlavor};
 use ras_guest::{BuiltGuest, Mechanism};
-use ras_isa::{Inst, Reg, SeqRange};
+use ras_isa::{CodeAddr, DataAddr, Inst, Reg, SeqRange};
 use ras_kernel::{Checkpoint, Decision, Kernel, StepOutcome, StrategyKind, ThreadId, ThreadState};
 use ras_machine::{AccessKind, CpuProfile, EngineKind};
 
@@ -415,7 +415,99 @@ fn thread_state_words(state: &ThreadState) -> (u64, u64) {
     }
 }
 
-/// FNV-1a hash of the scheduler-relevant state: thread register files and
+/// Hash words per thread: the 32 GPRs packed two 32-bit registers per
+/// word (16 words), then the pc, the thread-state discriminant, its
+/// payload, and the registered rseq area.
+const THREAD_WORDS: usize = 20;
+
+/// Odd multiplier of every lane step (2^64 / golden ratio).
+const LANE_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+/// Distinct lane seeds, so equal words in different lanes do not
+/// contribute symmetrically.
+const LANE_SEEDS: [u64; 4] = [
+    0x243F_6A88_85A3_08D3,
+    0x1319_8A2E_0370_7344,
+    0xA409_3822_299F_31D0,
+    0x082E_FA98_EC4E_6C89,
+];
+
+/// One thread's hash words (see [`THREAD_WORDS`]).
+fn pack_thread(
+    pc: CodeAddr,
+    gprs: &[u32; 32],
+    state: &ThreadState,
+    rseq_area: Option<DataAddr>,
+) -> [u64; THREAD_WORDS] {
+    let mut w = [0u64; THREAD_WORDS];
+    for (word, &[lo, hi]) in w.iter_mut().zip(gprs.as_chunks::<2>().0) {
+        *word = u64::from(lo) | (u64::from(hi) << 32);
+    }
+    w[16] = u64::from(pc);
+    (w[17], w[18]) = thread_state_words(state);
+    // rseq registration is kernel-side per-thread state: two states
+    // identical in registers and memory but differing in whether a
+    // thread has a registered area behave differently at the next
+    // preemption, so they must not fuse into one hash.
+    w[19] = rseq_area.map_or(u64::MAX, u64::from);
+    w
+}
+
+/// Four independent hash lanes fed four words at a time. A step is
+/// `lane = ((lane ^ word) * LANE_MUL).rotate_left(29)`: a bijection of
+/// the lane for a fixed word and of the word for a fixed lane, so
+/// states differing in a single word always hash apart. The lanes never
+/// read each other, so their multiplies overlap in the pipeline instead
+/// of forming one dependent chain.
+struct Lanes([u64; 4]);
+
+impl Lanes {
+    fn absorb(&mut self, words: [u64; 4]) {
+        for (lane, word) in self.0.iter_mut().zip(words) {
+            *lane = (*lane ^ word).wrapping_mul(LANE_MUL).rotate_left(29);
+        }
+    }
+
+    /// Folds the lanes (each at a distinct rotation, so the fold is a
+    /// bijection of any one lane) and applies the splitmix64 finalizer:
+    /// [`PathSet`] slots keys by their low bits.
+    fn finish(self) -> u64 {
+        let [a, b, c, d] = self.0;
+        let mut z = a ^ b.rotate_left(16) ^ c.rotate_left(32) ^ d.rotate_left(48);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+}
+
+/// The word-combining core of [`state_hash`]: every thread's words in
+/// thread order; then the thread count, the current thread, the memory
+/// fingerprint and the restart pc; then the ready queue in order as
+/// `id | 0x100` words, zero-padded to a whole lane round (a pad can
+/// never be mistaken for an entry).
+fn combine_words(
+    threads: impl Iterator<Item = [u64; THREAD_WORDS]>,
+    ready: impl Iterator<Item = ThreadId>,
+    current: u64,
+    fingerprint: u64,
+    restart: u64,
+) -> u64 {
+    let mut lanes = Lanes(LANE_SEEDS);
+    let mut count = 0u64;
+    for words in threads {
+        for &chunk in words.as_chunks::<4>().0 {
+            lanes.absorb(chunk);
+        }
+        count += 1;
+    }
+    lanes.absorb([count, current, fingerprint, restart]);
+    let mut ready = ready.map(|t| u64::from(t.0) | 0x100).peekable();
+    while ready.peek().is_some() {
+        lanes.absorb(std::array::from_fn(|_| ready.next().unwrap_or(0)));
+    }
+    lanes.finish()
+}
+
+/// Hash of the scheduler-relevant state: thread register files and
 /// states, queue order, shared data, and the i860 restart bit. Clocks and
 /// statistics are excluded so spin iterations hash identically.
 ///
@@ -425,40 +517,29 @@ fn thread_state_words(state: &ThreadState) -> (u64, u64) {
 /// by scanning, so hashes are identical across the two modes by
 /// construction (same XOR-fold over the same words).
 fn state_hash(kernel: &Kernel) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |v: u64| {
-        h ^= v;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    for i in 0..kernel.thread_count() {
+    let threads = (0..kernel.thread_count()).map(|i| {
         let t = ThreadId(i as u32);
         let regs = kernel.thread_regs(t);
-        mix(u64::from(regs.pc()));
-        for &g in regs.gprs() {
-            mix(u64::from(g));
-        }
-        let (discriminant, payload) = thread_state_words(kernel.thread_state(t));
-        mix(discriminant);
-        mix(payload);
-        // rseq registration is kernel-side per-thread state: two states
-        // identical in registers and memory but differing in whether a
-        // thread has a registered area behave differently at the next
-        // preemption, so they must not fuse into one hash.
-        mix(kernel.thread_rseq_area(t).map_or(u64::MAX, u64::from));
-    }
-    mix(kernel.current_thread().map_or(u64::MAX, |t| u64::from(t.0)));
-    for t in kernel.ready_iter() {
-        mix(u64::from(t.0) | 0x100);
-    }
+        pack_thread(
+            regs.pc(),
+            regs.gprs(),
+            kernel.thread_state(t),
+            kernel.thread_rseq_area(t),
+        )
+    });
     let data_end = kernel.data_end();
-    mix(kernel
-        .memory_fingerprint()
-        .unwrap_or_else(|| kernel.machine().mem().fingerprint_scan(data_end)));
-    mix(kernel
-        .machine()
-        .atomic_restart_pc()
-        .map_or(u64::MAX - 1, u64::from));
-    h
+    combine_words(
+        threads,
+        kernel.ready_iter(),
+        kernel.current_thread().map_or(u64::MAX, |t| u64::from(t.0)),
+        kernel
+            .memory_fingerprint()
+            .unwrap_or_else(|| kernel.machine().mem().fingerprint_scan(data_end)),
+        kernel
+            .machine()
+            .atomic_restart_pc()
+            .map_or(u64::MAX - 1, u64::from),
+    )
 }
 
 /// A pending DFS subtree, frozen at a decision point of depth
@@ -1671,8 +1752,117 @@ pub fn counterexample_trace(
 
 #[cfg(test)]
 mod tests {
-    use super::thread_state_words;
-    use ras_kernel::ThreadState;
+    use super::*;
+
+    /// A synthetic scheduler state, fed to the hash's word-combining
+    /// core directly.
+    struct Words {
+        threads: Vec<[u64; THREAD_WORDS]>,
+        ready: Vec<ThreadId>,
+        current: u64,
+        fingerprint: u64,
+        restart: u64,
+    }
+
+    impl Words {
+        fn hash(&self) -> u64 {
+            combine_words(
+                self.threads.iter().copied(),
+                self.ready.iter().copied(),
+                self.current,
+                self.fingerprint,
+                self.restart,
+            )
+        }
+    }
+
+    /// A register file whose every register differs from the others
+    /// and from every other seed's.
+    fn regs(seed: u32) -> [u32; 32] {
+        std::array::from_fn(|i| seed * 1000 + i as u32)
+    }
+
+    /// Thread 0 running, threads 1 and 2 ready in that order.
+    fn base() -> Words {
+        let states = [ThreadState::Running, ThreadState::Ready, ThreadState::Ready];
+        Words {
+            threads: (0..3u32)
+                .map(|i| pack_thread(100 + i, &regs(i + 1), &states[i as usize], None))
+                .collect(),
+            ready: vec![ThreadId(1), ThreadId(2)],
+            current: 0,
+            fingerprint: 0x1234_5678,
+            restart: u64::MAX - 1,
+        }
+    }
+
+    /// Every single-feature change of the base state hashes apart from
+    /// the base and from every other change.
+    #[test]
+    fn state_hash_separates_every_hashed_feature() {
+        let with_thread = |i: usize, gprs: [u32; 32], rseq: Option<DataAddr>| {
+            let mut w = base();
+            w.threads[i] = pack_thread(100 + i as u32, &gprs, &ThreadState::Ready, rseq);
+            w
+        };
+        let mut variants: Vec<(&str, Words)> = Vec::new();
+        let mut gprs = regs(3);
+        gprs[5] ^= 1;
+        variants.push((
+            "one gpr of a non-running thread",
+            with_thread(2, gprs, None),
+        ));
+        let mut gprs = regs(3);
+        gprs.swap(6, 7);
+        variants.push((
+            "halves of one packed pair swapped",
+            with_thread(2, gprs, None),
+        ));
+        let mut w = base();
+        w.threads.swap(1, 2);
+        variants.push(("two threads' register files swapped", w));
+        let mut w = base();
+        w.ready.reverse();
+        variants.push(("ready-queue order", w));
+        let mut w = base();
+        w.current = 1;
+        variants.push(("current thread", w));
+        variants.push(("rseq area registered", with_thread(1, regs(2), Some(0x40))));
+        variants.push(("rseq area moved", with_thread(1, regs(2), Some(0x44))));
+        let mut w = base();
+        w.restart = 105;
+        variants.push(("restart bit", w));
+        let mut w = base();
+        w.threads
+            .push(pack_thread(0, &[0; 32], &ThreadState::Exited, None));
+        variants.push(("thread count", w));
+
+        let base_hash = base().hash();
+        for (i, (name, w)) in variants.iter().enumerate() {
+            assert_ne!(w.hash(), base_hash, "{name}: hashes like the base state");
+            for (other, v) in &variants[i + 1..] {
+                assert_ne!(w.hash(), v.hash(), "{name} and {other} hash alike");
+            }
+        }
+    }
+
+    /// Clocks and statistics stay out of the hash: preempting a lone
+    /// thread and dispatching it again advances both, yet the state —
+    /// and so the hash — is the one before.
+    #[test]
+    fn state_hash_ignores_clock_and_stats() {
+        let config = CheckConfig::default();
+        let explorer = Explorer::new(ModelTarget::all()[0], &config);
+        let mut a = explorer.boot(false);
+        assert!(matches!(a.step_once(), StepOutcome::Ran { .. }));
+        assert_eq!(a.ready_len(), 0, "the main thread runs alone");
+        let mut b = a.clone();
+        assert!(b.preempt_current());
+        assert!(matches!(b.step_once(), StepOutcome::Ran { .. }));
+        assert_ne!(a.machine().clock(), b.machine().clock());
+        assert_ne!(a.stats(), b.stats());
+        assert_eq!(state_hash(&a), state_hash(&b));
+    }
 
     /// The regression the split hashing fixes: the old packing
     /// `5 | (until << 8)` shifted the deadline's top 8 bits out of the

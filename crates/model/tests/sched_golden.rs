@@ -12,8 +12,30 @@
 //! ```sh
 //! cargo test -p ras-model --test sched_golden -- --nocapture print_fingerprints
 //! ```
+//!
+//! A second table pins the benchmark's matrix: every target at
+//! preemption bound 3 with no subtree splitting. It is the only pin at
+//! that depth, so a state hash that fused or split states there (and
+//! only there) cannot pass. The matrix takes about a second in release
+//! and about twenty in debug builds, so the check runs in release
+//! builds only.
+//! Regenerate with:
+//!
+//! ```sh
+//! cargo test --release -p ras-model --test sched_golden -- --nocapture --ignored print_bound3_fingerprints
+//! ```
 
 use ras_model::{check_target, CheckConfig, ModelTarget, TargetReport};
+
+/// The benchmark's explorer configuration: bound 3, no subtree
+/// splitting, the default (interpreter) engine.
+fn bound3() -> CheckConfig {
+    CheckConfig {
+        preemption_bound: 3,
+        split_depth: 0,
+        ..CheckConfig::default()
+    }
+}
 
 /// Everything dispatch-order-sensitive about an exploration. The one
 /// field deliberately absent is `snapshot_bytes`: the checkpoint
@@ -59,6 +81,21 @@ fn print_fingerprints() {
     }
 }
 
+/// Prints the bound-3 fingerprints (with snapshot bytes) in
+/// GOLDEN_BOUND3-table form.
+#[test]
+#[ignore = "generator for the GOLDEN_BOUND3 table"]
+fn print_bound3_fingerprints() {
+    for target in ModelTarget::all() {
+        let r = check_target(target, &bound3());
+        println!(
+            "    (\"{target}\", \"{} snapshot={}\"),",
+            fingerprint(&r),
+            r.snapshot_bytes
+        );
+    }
+}
+
 #[test]
 fn explorer_results_match_pre_refactor_golden() {
     const GOLDEN: &[(&str, &str)] = &[
@@ -97,6 +134,40 @@ fn explorer_results_match_pre_refactor_golden() {
             "checkpoint footprint of {target} grew: {} > {}",
             r.snapshot_bytes,
             SNAPSHOT_CEILING[i]
+        );
+    }
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "the bound-3 matrix takes ~20 s in debug builds"
+)]
+fn bound3_matrix_matches_golden() {
+    const GOLDEN_BOUND3: &[(&str, &str)] = &[
+        ("ras-registered+tas", "schedules=7726 pruned=909 cycles=2029 livelock=0 cap=false checkpoints=8530 undo=27703 deduped=2029 rseq=0 snapshot=9343312"),
+        ("ras-inline+tas", "schedules=7532 pruned=805 cycles=2005 livelock=0 cap=false checkpoints=8242 undo=26657 deduped=2005 rseq=0 snapshot=9027664"),
+        ("ras-inline+cas", "schedules=7532 pruned=804 cycles=2009 livelock=0 cap=false checkpoints=8241 undo=26637 deduped=2009 rseq=0 snapshot=9026568"),
+        ("ras-inline+xchg", "schedules=7726 pruned=908 cycles=2033 livelock=0 cap=false checkpoints=8529 undo=27683 deduped=2033 rseq=0 snapshot=9342216"),
+        ("ras-inline+faa", "schedules=818 pruned=132 cycles=84 livelock=0 cap=false checkpoints=925 undo=773 deduped=84 rseq=0 snapshot=1011688"),
+        ("kernel-emulation+tas", "schedules=8593 pruned=289 cycles=2214 livelock=0 cap=false checkpoints=8851 undo=29929 deduped=2214 rseq=0 snapshot=9693016"),
+        ("interlocked+tas", "schedules=6313 pruned=687 cycles=1725 livelock=0 cap=false checkpoints=6913 undo=21654 deduped=1725 rseq=0 snapshot=7571656"),
+        ("lamport-a+tas", "schedules=17182 pruned=3179 cycles=4530 livelock=0 cap=false checkpoints=20030 undo=87816 deduped=4530 rseq=0 snapshot=21943856"),
+        ("lamport-b+tas", "schedules=30276 pruned=5079 cycles=7170 livelock=0 cap=false checkpoints=34952 undo=226033 deduped=7170 rseq=0 snapshot=38297216"),
+        ("user-level+tas", "schedules=16669 pruned=1363 cycles=3179 livelock=0 cap=false checkpoints=17927 undo=108271 deduped=3179 rseq=0 snapshot=19642424"),
+        ("hardware-bit+tas", "schedules=7726 pruned=909 cycles=2029 livelock=0 cap=false checkpoints=8530 undo=27703 deduped=2029 rseq=0 snapshot=9343312"),
+        ("rseq+tas", "schedules=25208 pruned=1785 cycles=5390 livelock=0 cap=false checkpoints=26914 undo=158685 deduped=5390 rseq=2044 snapshot=29484688"),
+        ("ras-inline+tas+none", "schedules=7189 pruned=834 cycles=1785 livelock=0 cap=false checkpoints=7924 undo=25135 deduped=1788 rseq=0 mutex-violation@629:[(8, Preempt(ThreadId(2))), (15, Preempt(ThreadId(1))), (20, Preempt(ThreadId(2)))] lost-update@647:[(8, Preempt(ThreadId(2))), (13, Preempt(ThreadId(1)))] error[data-race] @119: unordered read of shared word 0x4 (conflicting access at pc 139) error[data-race] @123: unordered write of shared word 0x4 (conflicting access at pc 139) error[data-race] @128: unordered write of shared word 0xc (conflicting access at pc 137) error[data-race] @129: unordered read of shared word 0x8 (conflicting access at pc 131) error[data-race] @131: unordered write of shared word 0x8 (conflicting access at pc 131) error[data-race] @132: unordered read of shared word 0xc (conflicting access at pc 128) error[data-race] @137: unordered write of shared word 0xc (conflicting access at pc 128) error[data-race] @139: unordered write of shared word 0x4 (conflicting access at pc 123) error[data-race] @119: unordered read of shared word 0x4 (conflicting access at pc 123) error[data-race] @139: unordered write of shared word 0x4 (conflicting access at pc 119) error[data-race] @123: unordered write of shared word 0x4 (conflicting access at pc 119) error[data-race] @123: unordered write of shared word 0x4 (conflicting access at pc 123) error[data-race] @139: unordered write of shared word 0x4 (conflicting access at pc 139) error[data-race] @128: unordered write of shared word 0xc (conflicting access at pc 128) error[data-race] @137: unordered write of shared word 0xc (conflicting access at pc 137) error[data-race] @132: unordered read of shared word 0xc (conflicting access at pc 137) error[data-race] @131: unordered write of shared word 0x8 (conflicting access at pc 129) snapshot=8679136"),
+    ];
+    let targets = ModelTarget::all();
+    assert_eq!(targets.len(), GOLDEN_BOUND3.len(), "target set changed");
+    for (target, (name, expected)) in targets.into_iter().zip(GOLDEN_BOUND3) {
+        assert_eq!(&target.to_string(), name, "target order changed");
+        let r = check_target(target, &bound3());
+        assert_eq!(
+            &format!("{} snapshot={}", fingerprint(&r), r.snapshot_bytes),
+            expected,
+            "bound-3 exploration of {target} diverged from the golden"
         );
     }
 }

@@ -1,6 +1,6 @@
 //! The [`Recorder`] trait and the standard [`Recording`] implementation.
 
-use crate::{Metrics, ObsEvent, Telemetry, TimedObsEvent};
+use crate::{Metrics, ObsEvent, TimedObsEvent};
 
 /// A sink for structured observability events.
 ///
@@ -22,7 +22,6 @@ pub struct Recording {
     capture_events: bool,
     events: Vec<TimedObsEvent>,
     metrics: Metrics,
-    telemetry: Option<Telemetry>,
 }
 
 impl Recording {
@@ -34,33 +33,7 @@ impl Recording {
             capture_events,
             events: Vec::new(),
             metrics: Metrics::default(),
-            telemetry: None,
         }
-    }
-
-    /// Attaches a streaming [`Telemetry`] aggregate. Subsequent events
-    /// are forwarded to it (quantum utilization, boundary flushes) in
-    /// addition to the metrics fold. Idempotent: an existing aggregate
-    /// is never replaced.
-    pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        if self.telemetry.is_none() {
-            self.telemetry = Some(telemetry);
-        }
-    }
-
-    /// The attached telemetry aggregate, if any.
-    pub fn telemetry(&self) -> Option<&Telemetry> {
-        self.telemetry.as_ref()
-    }
-
-    /// Mutable access for the kernel's drain sites.
-    pub fn telemetry_mut(&mut self) -> Option<&mut Telemetry> {
-        self.telemetry.as_mut()
-    }
-
-    /// Detaches and returns the telemetry aggregate.
-    pub fn take_telemetry(&mut self) -> Option<Telemetry> {
-        self.telemetry.take()
     }
 
     /// The captured event stream (empty unless constructed with
@@ -83,9 +56,6 @@ impl Recording {
 impl Recorder for Recording {
     fn record(&mut self, clock: u64, event: &ObsEvent) {
         self.metrics.apply(clock, event);
-        if let Some(t) = &mut self.telemetry {
-            t.on_event(clock, event);
-        }
         if self.capture_events {
             self.events.push(TimedObsEvent {
                 clock,

@@ -214,11 +214,12 @@ pub struct ThreadTelemetry {
     pub hold_cycles: u64,
 }
 
-/// The streaming telemetry aggregate the kernel feeds through the
-/// `Option<Box<Recording>>` seam.
+/// The streaming telemetry aggregate the kernel owns and feeds directly
+/// (`Kernel::enable_telemetry`), independent of any [`crate::Recording`].
 ///
 /// Constructed with the set of lock-word addresses to watch; all other
-/// accesses are ignored with a binary-search miss. Three inputs arrive:
+/// accesses are ignored with an offset check (contiguous lock words) or
+/// a binary-search miss. Three inputs arrive:
 ///
 /// * [`Telemetry::observe`] — one drained access with the thread that
 ///   performed it (the kernel drains at every return from the machine,
